@@ -13,10 +13,9 @@ This package executes those bags across worker processes:
   contract, with one :class:`~repro.cq.engine.EvaluationEngine` per worker
   process and aggregated work/cache accounting;
 - :mod:`~repro.runtime.tasks` — the picklable shard tasks;
-- :mod:`~repro.runtime.broadcast` — the digest-keyed zero-copy protocol:
-  shared objects ship to each worker once (or never, under ``fork``),
-  payloads carry :class:`~repro.runtime.broadcast.BroadcastRef` handles,
-  and the numpy backend's bitset arrays ride shared memory.
+- :mod:`~repro.runtime.broadcast` — the digest-keyed broadcast protocol:
+  shared objects ship to each worker once (or never, under ``fork``), and
+  payloads carry :class:`~repro.runtime.broadcast.BroadcastRef` handles.
 
 Entry points (`EvaluationEngine.indicator_matrix`, ``Statistic.vectors``,
 the generators, ``FeatureEngineeringSession``, the CLI's ``--workers``)

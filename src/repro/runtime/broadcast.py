@@ -6,26 +6,25 @@ Database` behind an indicator matrix, the model triple behind a served
 micro-batch — and every worker rebuilt indexes from cold.  A7/A8 measured
 the result: "parallel" runs slower than serial.
 
-The broadcast protocol (DESIGN.md §3.15) splits identity from bytes:
+The broadcast protocol (DESIGN.md §3.15) ships each object one way only:
 
 - The **parent** (:meth:`~repro.runtime.executor.ParallelExecutor.
   broadcast`) registers an object once under its content digest
   (:meth:`Database.digest() <repro.data.database.Database.digest>`, a
-  model checksum, or a hash of the pickled bytes), serializes it once
-  into a shared-memory segment (inline bytes where shared memory is
-  unavailable), and from then on puts only a tiny :class:`BroadcastRef`
-  into shard payloads.
+  model checksum, or a hash of the pickled bytes), pickles it once, and
+  from then on puts only a :class:`BroadcastRef` — the digest plus those
+  bytes — into shard payloads.
 - A **worker** resolves a ref through its process-resident cache: a hit
-  returns the pinned object (index and bitsets already built); a miss
-  fetches the bytes once, unpickles once, builds the
-  :class:`~repro.data.database.DatabaseIndex` eagerly, maps the parent's
-  shared :class:`~repro.data.bitset.BitsetIndex` arrays zero-copy when
-  the ref carries a manifest, pins the result, and never fetches that
-  digest again.
+  returns the pinned object (index already built) and ignores the bytes;
+  a miss unpickles the ref's bytes once, builds the
+  :class:`~repro.data.database.DatabaseIndex` eagerly, pins the result,
+  and never unpickles that digest again.
 - Under the ``fork`` start method the parent *seeds* its own resident
   cache before the pool starts, so forked workers inherit the pinned
   objects — and their built indexes and compiled plans — copy-on-write:
-  their first resolve is already a hit, with zero fetches.
+  their first resolve is already a hit.  Every worker also resolves the
+  refs registered before its pool started in its initializer, so spawned
+  workers hold those objects before their first shard too.
 
 Hits and misses are counted per process; :func:`snapshot` exposes them so
 :func:`~repro.runtime.tasks.instrumented` can report per-shard deltas and
@@ -55,16 +54,14 @@ __all__ = [
 ]
 
 #: Resident objects pinned per worker process.  Bounds worker memory when
-#: a long-lived pool sees many distinct broadcast objects; the executor's
-#: parent-side segment table is bounded the same way.
+#: a long-lived pool sees many distinct broadcast objects.
 RESIDENT_CAP = 8
 
-# Worker-resident state.  Under fork these dicts are inherited from the
+# Worker-resident state.  Under fork this dict is inherited from the
 # parent (copy-on-write) — which is exactly the zero-copy seeding path —
 # and the counters are only ever read as deltas, so inherited absolute
 # values are harmless.
 _RESIDENT: "OrderedDict[str, Any]" = OrderedDict()
-_SEGMENTS: Dict[str, Any] = {}  # keep attached segments alive with their views
 _MISSING = object()
 _hits = 0
 _misses = 0
@@ -73,18 +70,12 @@ _misses = 0
 class BroadcastRef(NamedTuple):
     """A picklable pointer to a broadcast object — the payload-side handle.
 
-    Carries the content digest plus one of two byte sources: a shared
-    segment name (the zero-copy path) or inline pickled bytes (the
-    portable fallback).  ``bitsets`` optionally names the shared-memory
-    manifest of the object's :class:`~repro.data.bitset.BitsetIndex`, so
-    vectorized workers map the parent's arrays instead of re-packing.
+    ``data`` is the parent's one pickle of the object.  A worker that
+    already holds ``digest`` never looks at it.
     """
 
     digest: str
-    segment: Optional[str]
-    nbytes: int
-    inline: Optional[bytes]
-    bitsets: Optional[Any]  # repro.data.shm.BitsetManifest
+    data: Optional[bytes]
 
 
 def snapshot() -> Dict[str, int]:
@@ -103,7 +94,7 @@ def seed(digest: str, obj: Any) -> None:
     The parent calls this at broadcast time, before the pool (possibly)
     forks: forked workers inherit the pinned object and resolve it as a
     hit, and the parent's own serial-fallback path resolves locally
-    without touching any segment.
+    without unpickling anything.
     """
     _pin(digest, obj)
 
@@ -123,83 +114,26 @@ def resolve(ref: Any) -> Any:
         _RESIDENT.move_to_end(ref.digest)
         _hits += 1
         return obj
+    if ref.data is None:
+        raise ReproError(
+            f"broadcast ref {ref.digest} is not resident here and carries "
+            f"no bytes"
+        )
     _misses += 1
-    obj = pickle.loads(_fetch_bytes(ref))
+    obj = pickle.loads(ref.data)
     if isinstance(obj, Database):
-        _warm_database(ref, obj)
+        obj.index  # a miss pays once; every later shard is warm
     _pin(ref.digest, obj)
     return obj
-
-
-def _fetch_bytes(ref: BroadcastRef) -> bytes:
-    if ref.segment is not None:
-        from repro.data import shm
-
-        try:
-            segment = shm.attach_segment(ref.segment)
-        except FileNotFoundError:
-            if ref.inline is not None:
-                return ref.inline
-            raise ReproError(
-                f"broadcast segment {ref.segment!r} for {ref.digest} is "
-                f"gone (owner closed or crashed) and the ref carries no "
-                f"inline bytes"
-            ) from None
-        try:
-            return bytes(segment.buf[: ref.nbytes])
-        finally:
-            segment.close()
-    if ref.inline is None:
-        raise ReproError(
-            f"broadcast ref {ref.digest} carries neither a segment nor "
-            f"inline bytes"
-        )
-    return ref.inline
-
-
-def _warm_database(ref: BroadcastRef, database: Database) -> None:
-    """Build the index now (a miss pays once, every later shard is warm).
-
-    When the ref carries a shared bitset manifest and numpy is usable,
-    the parent's packed arrays are attached as read-only views — the
-    vectorized backend then never re-encodes the database in any worker.
-    Attach failures (segment already released, numpy disabled) degrade to
-    the normal lazy local build.
-    """
-    index = database.index
-    if ref.bitsets is None:
-        return
-    from repro.data.bitset import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        return
-    from repro.data import shm
-    from repro.exceptions import DatabaseError
-
-    if not shm.HAVE_SHM:
-        return
-    try:
-        segment, bitsets = shm.attach_bitsets(
-            ref.bitsets, index.sorted_domain
-        )
-    except (FileNotFoundError, DatabaseError):
-        return
-    index._bitsets = bitsets
-    _SEGMENTS[ref.digest] = segment
 
 
 def _pin(digest: str, obj: Any) -> None:
     _RESIDENT[digest] = obj
     _RESIDENT.move_to_end(digest)
     while len(_RESIDENT) > RESIDENT_CAP:
-        evicted, _ = _RESIDENT.popitem(last=False)
-        # Drop the keepalive only; the mapping is released by GC once the
-        # evicted object's array views die (an explicit close() here could
-        # raise BufferError while views are still reachable).
-        _SEGMENTS.pop(evicted, None)
+        _RESIDENT.popitem(last=False)
 
 
 def clear_resident() -> None:
-    """Drop every pinned object and attached segment keepalive (tests)."""
+    """Drop every pinned object (tests)."""
     _RESIDENT.clear()
-    _SEGMENTS.clear()

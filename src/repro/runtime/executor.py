@@ -20,7 +20,11 @@ workers each hold one :class:`~repro.cq.engine.EvaluationEngine`
 (initialized once per worker); if a task or payload fails to pickle — or
 the pool breaks — it falls back to the serial path and remembers the
 failure, so callers never see a pickling error from a computation that a
-plain loop could finish.
+plain loop could finish.  Objects every shard shares ship through
+:meth:`~Executor.broadcast` (DESIGN.md §3.15): the parent pickles each
+once into a :class:`~repro.runtime.broadcast.BroadcastRef`, and a worker
+unpickles it at most once — never under ``fork``, whose workers inherit
+the parent's copy.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cq.engine import CacheInfo
+from repro.data.database import Database
 from repro.exceptions import ReproError
 from repro.runtime import broadcast as _broadcast
 from repro.runtime.shard import DEFAULT_SHARDS_PER_WORKER, ShardPlan
@@ -118,7 +123,6 @@ class Executor:
         task: Task,
         items: Sequence[Any],
         payload: Callable[[Sequence[Any]], Payload],
-        plan: Optional[ShardPlan] = None,
         shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
     ) -> List[Any]:
         """Shard ``items``, run ``task`` per shard, merge in item order.
@@ -127,10 +131,9 @@ class Executor:
         attaching the shared database).  Each shard result must be a
         sequence with one entry per item of its chunk.
         """
-        if plan is None:
-            plan = ShardPlan.for_workers(
-                len(items), self.workers, shards_per_worker
-            )
+        plan = ShardPlan.for_workers(
+            len(items), self.workers, shards_per_worker
+        )
         payloads = [payload(chunk) for chunk in plan.chunk(items)]
         shard_results = self.map_shards(task, payloads)
         return ShardPlan.merge(shard_results)
@@ -212,53 +215,6 @@ class SerialExecutor(Executor):
         return results
 
 
-class _BroadcastHandle:
-    """Parent-side ownership of one broadcast: the ref plus its segments.
-
-    Handles are never evicted before :meth:`ParallelExecutor.close` —
-    an in-flight shard may carry any ref ever issued, and unlinking its
-    segment early would turn a worker's cache miss into an error.  The
-    table is therefore bounded by the executor's lifetime working set
-    (the distinct databases/models a session broadcasts), which the
-    caller already holds in memory anyway; workers, by contrast, pin at
-    most :data:`~repro.runtime.broadcast.RESIDENT_CAP` objects and
-    re-fetch from the still-live segment after evicting one.
-    """
-
-    __slots__ = ("ref", "_segment", "_arrays_segment")
-
-    def __init__(self, ref: Any, segment: Any, arrays_segment: Any) -> None:
-        self.ref = ref
-        self._segment = segment
-        self._arrays_segment = arrays_segment
-
-    def segment_bytes(self) -> int:
-        total = 0
-        for segment in (self._segment, self._arrays_segment):
-            if segment is not None:
-                total += segment.size
-        return total
-
-    def release(self) -> None:
-        """Close and unlink the owned segments (idempotent).
-
-        Workers that already pinned the object are unaffected (their
-        mappings stay valid until they drop them); workers that have not
-        fetched yet fall back to the ref's inline bytes or rebuild
-        locally.
-        """
-        for attr in ("_segment", "_arrays_segment"):
-            segment = getattr(self, attr)
-            if segment is None:
-                continue
-            setattr(self, attr, None)
-            try:
-                segment.close()
-                segment.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-
-
 class ParallelExecutor(Executor):
     """Process-pool execution with one evaluation engine per worker.
 
@@ -289,10 +245,10 @@ class ParallelExecutor(Executor):
         or ``None``/``"auto"`` (the default) — the ``REPRO_START_METHOD``
         environment variable if set, else :func:`preferred_start_method`,
         decided at pool-creation time.  Under ``fork``, objects broadcast
-        before the pool starts are inherited copy-on-write — indexes,
-        bitsets, and compiled plans included — so workers start fully
-        warm; ``spawn`` workers build state through the initializer and
-        the shared-memory fetch path instead.
+        before the pool starts are inherited copy-on-write — indexes and
+        compiled plans included — so workers start fully warm; ``spawn``
+        workers unpickle those objects once each in the initializer
+        instead.
 
     Workers are started lazily on first dispatch and reused across calls,
     so per-worker caches stay warm over a whole session.  Dispatch falls
@@ -329,10 +285,11 @@ class ParallelExecutor(Executor):
         self._store_path = store_path
         self._start_method = start_method
         self._pool: Optional[Any] = None
-        #: Picklable handles of everything broadcast through this executor,
-        #: by digest.  The executor owns the backing shared-memory segments
-        #: (created here, unlinked in :meth:`close`).
-        self._broadcasts: Dict[str, "_BroadcastHandle"] = {}
+        #: Refs of everything broadcast through this executor, by digest,
+        #: in registration order, kept until :meth:`close`: re-broadcasting
+        #: returns the cached ref, and a new pool's initializer resolves
+        #: the refs registered before it.
+        self._broadcasts: Dict[str, _broadcast.BroadcastRef] = {}
         #: The start method the live pool was actually created with.
         self.effective_start_method: Optional[str] = None
         #: Last reason parallel dispatch fell back to serial, or None.
@@ -372,6 +329,9 @@ class ParallelExecutor(Executor):
                     initargs=(
                         self._cache_size, self._plan_queries, self._backend,
                         self._store_path,
+                        tuple(self._broadcasts.values())[
+                            -_broadcast.RESIDENT_CAP:
+                        ],
                     ),
                 )
                 self.effective_start_method = method
@@ -387,16 +347,12 @@ class ParallelExecutor(Executor):
         Keyed by content digest — ``obj.digest()`` when the object has
         one (databases), the caller-supplied ``digest`` (the serving path
         passes the artifact checksum), or a hash of the pickled bytes.
-        The first call pickles the object once into a shared-memory
-        segment and seeds the parent's resident cache (so a pool forked
-        after this point inherits the object, and serial fallbacks
-        resolve locally); every later call returns the cached ref without
-        touching the object at all.
-
-        For databases, the parent's index is built here — before any
-        fork — and, when the workers run the numpy backend, the packed
-        bitset arrays are exported to shared memory so vectorized workers
-        map them read-only instead of re-encoding.
+        The first call pickles the object once into the ref and seeds the
+        parent's resident cache (so a pool forked after this point
+        inherits the object, and serial fallbacks resolve locally); every
+        later call returns the cached ref without touching the object at
+        all.  For databases, the parent's index is built here — before
+        any fork — so forked workers inherit it warm.
         """
         if digest is None:
             method = getattr(obj, "digest", None)
@@ -404,71 +360,29 @@ class ParallelExecutor(Executor):
                 digest = method()
         with self._accounting_lock:
             if digest is not None and digest in self._broadcasts:
-                return self._broadcasts[digest].ref
+                return self._broadcasts[digest]
             data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
             if digest is None:
                 digest = "sha256:" + hashlib.sha256(data).hexdigest()
                 if digest in self._broadcasts:
-                    return self._broadcasts[digest].ref
-            handle = self._make_handle(digest, obj, data)
-            self._broadcasts[digest] = handle
-            return handle.ref
-
-    def _make_handle(
-        self, digest: str, obj: Any, data: bytes
-    ) -> "_BroadcastHandle":
-        from repro.data.database import Database
-
-        _broadcast.seed(digest, obj)
-        manifest = None
-        arrays_segment = None
-        if isinstance(obj, Database):
-            index = obj.index  # built pre-fork: children inherit it warm
-            if self._backend == "numpy":
-                from repro.data.bitset import HAVE_NUMPY
-                from repro.data import shm
-
-                if HAVE_NUMPY and shm.HAVE_SHM:
-                    arrays_segment, manifest = shm.export_bitsets(
-                        index.bitsets()
-                    )
-        segment = None
-        segment_name = None
-        inline: Optional[bytes] = data
-        from repro.data import shm
-
-        if shm.HAVE_SHM:
-            try:
-                segment = shm.create_segment(len(data))
-                segment.buf[: len(data)] = data
-                segment_name = segment.name
-                inline = None
-            except OSError:
-                segment = None
-                segment_name = None
-                inline = data
-        ref = _broadcast.BroadcastRef(
-            digest, segment_name, len(data), inline, manifest
-        )
-        return _BroadcastHandle(ref, segment, arrays_segment)
+                    return self._broadcasts[digest]
+            if isinstance(obj, Database):
+                obj.index  # built pre-fork: children inherit it warm
+            _broadcast.seed(digest, obj)
+            ref = _broadcast.BroadcastRef(digest, data)
+            self._broadcasts[digest] = ref
+            return ref
 
     def broadcast_info(self) -> Dict[str, Any]:
-        """Parent-side broadcast table: digests and segment bytes held."""
+        """Parent-side broadcast table: digests and pickled bytes held."""
         with self._accounting_lock:
             return {
                 "objects": len(self._broadcasts),
-                "segment_bytes": sum(
-                    handle.segment_bytes()
-                    for handle in self._broadcasts.values()
+                "bytes": sum(
+                    len(ref.data) for ref in self._broadcasts.values()
                 ),
                 "digests": sorted(self._broadcasts),
             }
-
-    def _release_broadcasts(self) -> None:
-        handles = list(self._broadcasts.values())
-        self._broadcasts.clear()
-        for handle in handles:
-            handle.release()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -565,7 +479,7 @@ class ParallelExecutor(Executor):
             self._pool.shutdown(wait=True)
             self._pool = None
             self.effective_start_method = None
-        self._release_broadcasts()
+        self._broadcasts.clear()
 
 
 def make_executor(

@@ -67,6 +67,7 @@ def initialize_worker(
     plan_queries: Sequence[CQ] = (),
     backend: Optional[str] = None,
     store_path: Optional[str] = None,
+    broadcasts: Sequence[Any] = (),
 ) -> None:
     """Install a fresh engine as the worker process's default engine.
 
@@ -83,6 +84,10 @@ def initialize_worker(
     engine would serially.  ``store_path`` attaches the warm-state store
     at that root to the worker engine — workers then pull persisted plans
     instead of compiling, and contribute their computed answers back.
+    ``broadcasts`` are the refs registered before the pool started; they
+    are resolved here, so every worker holds those objects before its
+    first shard whichever shards it gets.  These resolves happen outside
+    any shard and so count in no shard's ``broadcast_*`` delta.
     """
     kwargs: Dict[str, Any] = {}
     if cache_size is not None:
@@ -94,6 +99,8 @@ def initialize_worker(
     engine = EvaluationEngine(**kwargs)
     for query in plan_queries:
         engine.plan_for(query)
+    for ref in broadcasts:
+        resolve(ref)
     set_default_engine(engine)
 
 

@@ -2,10 +2,11 @@
 
 The tentpole claim of the zero-copy runtime is "one fetch per worker per
 object, zero per-shard database pickles".  These tests pin the pieces that
-make it checkable: tiny refs, digest-keyed idempotence, hit/miss counting,
-LRU residency, segment lifecycle at ``close()``, and the two dispatch
-repairs that ride along — worker-cache invalidation on pool discard and
-shard-exact serial fallback that never re-executes a completed shard.
+make it checkable: one parent-side pickle per object, digest-keyed
+idempotence, hit/miss counting, LRU residency, no helper processes beside
+the workers, and the two dispatch repairs that ride along — worker-cache
+invalidation on pool discard and shard-exact serial fallback that never
+re-executes a completed shard.
 """
 
 from __future__ import annotations
@@ -13,12 +14,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.separability import feature_pool
-from repro.data import shm
+from repro.data.database import Database
 from repro.exceptions import ReproError
 from repro.runtime import (
     BroadcastRef,
@@ -59,7 +64,7 @@ class TestResolve:
 
     def test_seed_then_resolve_is_a_hit(self, workload):
         database, _ = workload
-        ref = BroadcastRef(database.digest(), None, 0, None, None)
+        ref = BroadcastRef(database.digest(), None)
         before = broadcast.snapshot()
         broadcast.seed(database.digest(), database)
         resolved = broadcast.resolve(ref)
@@ -68,10 +73,9 @@ class TestResolve:
         assert after["broadcast_hits"] == before["broadcast_hits"] + 1
         assert after["broadcast_misses"] == before["broadcast_misses"]
 
-    def test_miss_unpickles_inline_bytes_once(self, workload):
+    def test_miss_unpickles_bytes_once(self, workload):
         database, _ = workload
-        data = pickle.dumps(database)
-        ref = BroadcastRef(database.digest(), None, len(data), data, None)
+        ref = BroadcastRef(database.digest(), pickle.dumps(database))
         before = broadcast.snapshot()
         first = broadcast.resolve(ref)
         second = broadcast.resolve(ref)
@@ -82,19 +86,9 @@ class TestResolve:
         assert after["broadcast_hits"] == before["broadcast_hits"] + 1
 
     def test_byteless_ref_is_an_error(self):
-        ref = BroadcastRef("sha256:deadbeef", None, 0, None, None)
+        ref = BroadcastRef("sha256:deadbeef", None)
         with pytest.raises(ReproError):
             broadcast.resolve(ref)
-
-    def test_missing_segment_falls_back_to_inline(self, workload):
-        database, _ = workload
-        data = pickle.dumps(database)
-        ref = BroadcastRef(
-            database.digest(), "repro-shm-000000000000", len(data), data,
-            None,
-        )
-        resolved = broadcast.resolve(ref)
-        assert resolved.digest() == database.digest()
 
     def test_resident_cache_is_lru_capped(self):
         for i in range(broadcast.RESIDENT_CAP + 1):
@@ -110,19 +104,18 @@ class TestExecutorBroadcast:
         database, _ = workload
         assert SerialExecutor().broadcast(database) is database
 
-    def test_ref_is_tiny_and_digest_keyed(self, workload):
+    def test_ref_is_digest_keyed(self, workload):
         database, _ = workload
         with ParallelExecutor(WORKERS) as executor:
             ref = executor.broadcast(database)
             assert isinstance(ref, BroadcastRef)
             assert ref.digest == database.digest()
-            if shm.HAVE_SHM:
-                assert ref.inline is None  # bytes live in the segment
-                assert len(pickle.dumps(ref)) < len(pickle.dumps(database))
+            assert pickle.loads(ref.data).digest() == database.digest()
             # Re-broadcasting the same object is free and idempotent.
             assert executor.broadcast(database) == ref
             info = executor.broadcast_info()
             assert info["objects"] == 1
+            assert info["bytes"] == len(ref.data)
             assert info["digests"] == [database.digest()]
 
     def test_digestless_objects_key_on_content(self):
@@ -133,28 +126,76 @@ class TestExecutorBroadcast:
             assert first == second
             assert executor.broadcast_info()["objects"] == 1
 
-    @pytest.mark.skipif(not shm.HAVE_SHM, reason="needs shared memory")
-    def test_close_unlinks_segments(self, workload):
-        database, _ = workload
-        executor = ParallelExecutor(WORKERS)
-        ref = executor.broadcast(database)
-        attached = shm.attach_segment(ref.segment)
-        attached.close()
-        executor.close()
-        with pytest.raises(FileNotFoundError):
-            shm.attach_segment(ref.segment)
+    def test_parent_pickles_each_database_once(self, workload, monkeypatch):
+        database, queries = workload
+        assert len(queries) >= 4  # enough items for 4+ shards per dispatch
+        pickles = []
+        getstate = Database.__getstate__
 
-    def test_inline_fallback_without_shared_memory(
-        self, workload, monkeypatch
-    ):
-        database, _ = workload
-        monkeypatch.setattr(shm, "HAVE_SHM", False)
+        def counting_getstate(self):
+            pickles.append(self.digest())
+            return getstate(self)
+
+        monkeypatch.setattr(Database, "__getstate__", counting_getstate)
+        serial = SerialExecutor().run(
+            evaluate_unary_queries, queries,
+            lambda chunk: (tuple(chunk), database),
+        )
         with ParallelExecutor(WORKERS) as executor:
-            ref = executor.broadcast(database)
-            assert ref.segment is None
-            assert ref.inline is not None
-            broadcast.clear_resident()
-            assert broadcast.resolve(ref).digest() == database.digest()
+            target = executor.broadcast(database)
+            payload = lambda chunk: (tuple(chunk), target)
+            for _ in range(2):
+                assert executor.run(
+                    evaluate_unary_queries, queries, payload
+                ) == serial
+            assert executor.work_done()["broadcast_hits"] >= 2 * 4
+        # Worker-side unpickles never call __getstate__; the parent's one
+        # pickle is the ref's bytes, shared by every shard and dispatch.
+        assert pickles == [database.digest()]
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="fork unavailable")
+    def test_fork_dispatch_starts_no_resource_tracker(self):
+        # A fresh interpreter: an earlier spawn pool in this test process
+        # would already have started a tracker for its semaphores.
+        script = r"""
+import os
+from repro.core.separability import feature_pool
+from repro.runtime import ParallelExecutor
+from repro.runtime.tasks import evaluate_unary_queries
+from repro.workloads.retail import retail_database
+
+training = retail_database(n_customers=6, seed=3)
+queries = feature_pool(training, 2)
+with ParallelExecutor(2, start_method="fork") as executor:
+    target = executor.broadcast(training.database)
+    executor.run(
+        evaluate_unary_queries, queries, lambda chunk: (tuple(chunk), target)
+    )
+    assert executor.work_done()["broadcast_misses"] == 0
+    # Forked workers share this process's command line; any helper the
+    # runtime started would have exec'd a different one.
+    def cmdline(pid):
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return handle.read()
+    pid = os.getpid()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as handle:
+            for child in handle.read().split():
+                own = cmdline(child) == cmdline(pid)
+                print("worker" if own else cmdline(child).decode("latin-1"))
+"""
+        if not Path(f"/proc/{os.getpid()}/task").is_dir():
+            pytest.skip("needs /proc to list child processes")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.pop(START_METHOD_ENV, None)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        # The two workers and nothing else: no resource tracker.
+        assert done.stdout.splitlines() == ["worker", "worker"]
 
     def test_dispatch_counts_hits_not_per_shard_misses(self, workload):
         database, queries = workload

@@ -1,8 +1,8 @@
 """Start-method parity: fork, spawn, and serial agree bit-for-bit.
 
 The zero-copy runtime changes *where* state lives (inherited copy-on-write
-under fork, shared-memory fetches under spawn, plain objects serially) but
-must never change a single bit of output.  This suite pins that across the
+under fork, unpickled once per worker under spawn, plain objects serially)
+but must never change a single bit of output.  This suite pins that across the
 retail and molecules workloads, both evaluation backends, and worker
 counts 1/2/4 — and checks the broadcast counters prove the zero-copy
 path actually ran (repeat dispatches are pure hits).
