@@ -15,8 +15,14 @@ across target facts.  This module batches it:
   hash probe per search node), iterated to a fixpoint — the vectorized
   analogue of the Yannakakis upward pass;
 - the final join runs in a precompiled greedy atom order as a sequence
-  of sort-merge joins over dense integer keys, producing all satisfying
-  assignments of one (query, database) pair in a handful of array ops.
+  of sort-merge joins over dense integer keys.  After each join the
+  table keeps only its live columns — the free variables and those a
+  later atom still needs — with duplicate rows removed, so it holds the
+  satisfying assignments projected onto what is left to join, and the
+  last table is already the answer set (a one-row, zero-column table for
+  a Boolean decision).  Duplicate rows are removed without sorting rows:
+  each row becomes one integer key, and the keys are scattered into a
+  boolean mask when the key space is small.
 
 A :class:`VectorizedProgram` is compiled once per query (or per hom-check
 source database) and — like :class:`~repro.cq.plan.QueryPlan` — is
@@ -67,6 +73,42 @@ DEFAULT_MAX_CELLS = 2_000_000
 #: monotonicity, not against any known input).
 _MAX_SWEEP_ROUNDS = 64
 
+#: :func:`_distinct_rows` scatters keys into a boolean mask when the key
+#: space is at most this many times the row count (or the domain size,
+#: so single-column tables always scatter); otherwise it sorts the keys.
+_SCATTER_SLACK = 8
+
+_INT64_MAX = 2**63 - 1
+
+
+def _distinct_rows(table: Any, n_elements: int) -> Any:
+    """The distinct rows of an id table with values in ``[0, n_elements)``.
+
+    Each row is read as one base-``n_elements`` integer key; the distinct
+    keys come from a scatter into a boolean mask over the whole key space
+    when that space is small, and from a 1-D sort of the keys otherwise.
+    Only a key space that overflows ``int64`` falls back to the row-wise
+    ``np.unique(axis=0)``.  Row order of the result is unspecified.
+    """
+    np = bitset_backend.np
+    n_rows, width = table.shape
+    if n_rows <= 1:
+        return table
+    if width == 0:
+        return table[:1]
+    space = n_elements**width
+    if space > _INT64_MAX:
+        return np.unique(table, axis=0)
+    dims = (n_elements,) * width
+    keys = np.ravel_multi_index(tuple(table.T), dims)
+    if space <= max(_SCATTER_SLACK * n_rows, n_elements):
+        mask = np.zeros(space, dtype=bool)
+        mask[keys] = True
+        keys = np.flatnonzero(mask)
+    else:
+        keys = np.unique(keys)
+    return np.stack(np.unravel_index(keys, dims), axis=1)
+
 
 class VectorizedFallback(Exception):
     """The vectorized backend cannot evaluate this instance; reason in args.
@@ -91,10 +133,13 @@ class VectorizedProgram:
     most free variables, then repeatedly take the atom sharing the most
     variables with everything joined so far (ties by atom index), which
     keeps intermediate tables narrow on the tree-shaped feature queries
-    the paper's languages generate.
+    the paper's languages generate.  ``live`` gives, per join step, the
+    slots the table must keep after folding ``order[step]`` in: the free
+    slots plus every slot of an atom later in ``order``.  Like ``order``,
+    it reads only the query structure.
     """
 
-    __slots__ = ("free", "variables", "atoms", "signatures", "order")
+    __slots__ = ("free", "variables", "atoms", "signatures", "order", "live")
 
     def __init__(
         self,
@@ -119,6 +164,7 @@ class VectorizedProgram:
             signatures
         )
         self.order = self._join_order()
+        self.live = self._live_slots()
 
     # ------------------------------------------------------------------
     # Compilation
@@ -206,6 +252,14 @@ class VectorizedProgram:
             bound |= set(self.atoms[best][1])
         return tuple(order)
 
+    def _live_slots(self) -> Tuple[FrozenSet[int], ...]:
+        live: List[FrozenSet[int]] = []
+        needed = set(range(len(self.free)))
+        for index in reversed(self.order):
+            live.append(frozenset(needed))
+            needed |= set(self.atoms[index][1])
+        return tuple(reversed(live))
+
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -216,8 +270,10 @@ class VectorizedProgram:
         fixed: Optional[Mapping[Element, Element]],
         max_cells: int,
     ) -> Optional[Tuple[List[int], Any]]:
-        """All satisfying assignments as ``(column slots, id table)``.
+        """The answers as ``(column slots, distinct id table)``.
 
+        The columns are exactly the free slots, in join order; a source
+        without free variables yields a one-row, zero-column table.
         Returns ``None`` when the instance is unsatisfiable.  Raises
         :class:`VectorizedFallback` when this backend cannot decide it.
         """
@@ -329,7 +385,7 @@ class VectorizedProgram:
                         continue
                     seen_slots.add(slot)
                     surviving = bitset_backend.pack_ids(
-                        np.unique(rows[:, position]), n_elements
+                        rows[:, position], n_elements
                     )
                     narrowed = candidates[slot] & surviving
                     if not np.array_equal(narrowed, candidates[slot]):
@@ -343,6 +399,9 @@ class VectorizedProgram:
         # 5. Join the pruned tables in the precompiled order.  Tables are
         # (rows × distinct-slot) id matrices; joins run over dense keys
         # recompressed per column, so multi-column keys never overflow.
+        # After each step the table drops the columns no later atom or
+        # free variable needs and deduplicates its rows (projection
+        # pushdown), so it never carries more than the live variables.
         def atom_columns(index: int) -> Tuple[List[int], Any]:
             _, slots = self.atoms[index]
             columns: List[int] = []
@@ -353,8 +412,24 @@ class VectorizedProgram:
                     keep.append(position)
             return columns, tables[index][:, keep]
 
-        columns, table = atom_columns(self.order[0])
-        for index in self.order[1:]:
+        def project(
+            step: int, columns: List[int], table: Any
+        ) -> Tuple[List[int], Any]:
+            live = self.live[step]
+            keep = [
+                position
+                for position, slot in enumerate(columns)
+                if slot in live
+            ]
+            if len(keep) == len(columns):
+                return columns, table
+            return (
+                [columns[position] for position in keep],
+                _distinct_rows(table[:, keep], n_elements),
+            )
+
+        columns, table = project(0, *atom_columns(self.order[0]))
+        for step, index in enumerate(self.order[1:], start=1):
             right_columns, right = atom_columns(index)
             shared = [slot for slot in right_columns if slot in columns]
             fresh = [
@@ -413,6 +488,7 @@ class VectorizedProgram:
             )
             if not len(table):
                 return None
+            columns, table = project(step, columns, table)
         return (columns, table)
 
     def evaluate(
@@ -426,14 +502,12 @@ class VectorizedProgram:
         if solved is None:
             return frozenset()
         columns, table = solved
-        if not len(table):
-            return frozenset()
         if not self.free:
             return frozenset({()})
-        np = bitset_backend.np
-        free_slots = list(range(len(self.free)))
-        projection = table[:, [columns.index(slot) for slot in free_slots]]
-        rows = np.unique(projection, axis=0)
+        # The table is already the distinct answers; put the columns in
+        # free-variable order.
+        order = [columns.index(slot) for slot in range(len(self.free))]
+        rows = table[:, order]
         elements = database.index.bitsets().elements
         return frozenset(
             tuple(elements[value] for value in row) for row in rows
@@ -446,8 +520,7 @@ class VectorizedProgram:
         max_cells: int = DEFAULT_MAX_CELLS,
     ) -> bool:
         """Whether a homomorphism into ``database`` extending ``fixed`` exists."""
-        solved = self._solve(database, fixed, max_cells)
-        return solved is not None and len(solved[1]) > 0
+        return self._solve(database, fixed, max_cells) is not None
 
     def __repr__(self) -> str:
         return (

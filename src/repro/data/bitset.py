@@ -65,11 +65,11 @@ def pack_ids(ids: Any, n_bits: int) -> Any:
     """Pack a sequence of element ids into a ``uint64`` bitset row.
 
     ``ids`` may be any integer sequence (list or ndarray) with values in
-    ``[0, n_bits)``; the result has ``ceil(n_bits / 64)`` words.  Inverse
-    of :func:`unpack_ids`.
+    ``[0, n_bits)``, duplicates allowed; the result has
+    ``ceil(n_bits / 64)`` words.  Inverse of :func:`unpack_ids`.
     """
     n_words = (n_bits + WORD_BITS - 1) // WORD_BITS
-    words = np.zeros(n_words, dtype=np.uint64)
+    mask = np.zeros(n_words * WORD_BITS, dtype=bool)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size:
         if ids.min() < 0 or ids.max() >= n_bits:
@@ -77,12 +77,8 @@ def pack_ids(ids: Any, n_bits: int) -> Any:
                 f"bitset ids must lie in [0, {n_bits}), got "
                 f"[{ids.min()}, {ids.max()}]"
             )
-        np.bitwise_or.at(
-            words,
-            ids // WORD_BITS,
-            np.uint64(1) << (ids % WORD_BITS).astype(np.uint64),
-        )
-    return words
+        mask[ids] = True
+    return np.packbits(mask, bitorder="little").view("<u8")
 
 
 def unpack_ids(words: Any, n_bits: int) -> Any:

@@ -2,8 +2,11 @@
 
 Empty databases, empty relations, one-element domains, domains crossing
 the 64-element word boundary (multi-word bitsets), duplicate queries in a
-statistic pool, forced fallbacks (cell cap, numpy disabled), and the
-fallback-reason export contract.
+statistic pool, forced fallbacks (cell cap, numpy disabled), the
+fallback-reason export contract, the sort-free row deduplication on each
+of its branches, and projection pushdown (joins that fit the cell cap
+only once dead columns are dropped; multi-column answers; Boolean
+decisions whose every column is projected away).
 """
 
 from __future__ import annotations
@@ -11,8 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cq.engine import EvaluationEngine
-from repro.cq.naive import naive_evaluate_unary, naive_has_homomorphism
+from repro.cq.naive import (
+    naive_evaluate,
+    naive_evaluate_unary,
+    naive_has_homomorphism,
+)
 from repro.cq.parser import parse_cq
+from repro.cq.vectorized import VectorizedProgram, _distinct_rows
 from repro.data import bitset
 from repro.data.database import Database, DatabaseBuilder, Fact
 from repro.data.schema import EntitySchema, RelationSymbol
@@ -158,3 +166,139 @@ class TestHomChecks:
         target = Database([Fact("E", ("a", "b"))])
         assert engine.has_homomorphism(empty, target) is True
         assert engine.has_homomorphism(empty, empty) is True
+
+
+class TestDistinctRows:
+    """The dedupe helper on synthetic id tables, one case per branch."""
+
+    @pytest.mark.parametrize(
+        "n_elements, width, n_rows, unique_calls",
+        [
+            (10, 2, 200, []),  # key space 100 <= 8 x 200 rows: scatter
+            (5000, 1, 3, []),  # single column: always scatter
+            (1000, 3, 300, [1]),  # key space 1e9: 1-D unique of keys
+            (2**32, 2, 300, [2]),  # key space 2^64 overflows: axis=0
+        ],
+    )
+    def test_branch_matches_row_unique(
+        self, monkeypatch, n_elements, width, n_rows, unique_calls
+    ):
+        np = bitset.np
+        rng = np.random.RandomState(n_rows + width)
+        pool = rng.randint(0, n_elements, size=(n_rows // 3 + 1, width))
+        pool[0] = n_elements - 1  # the largest id survives the round trip
+        table = pool[rng.randint(0, len(pool), size=n_rows)]
+        table[0] = pool[0]
+        expected = {tuple(row) for row in np.unique(table, axis=0).tolist()}
+
+        calls = []
+        unique = np.unique
+
+        def spy(array, *args, **kwargs):
+            calls.append(np.ndim(array))
+            return unique(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        result = _distinct_rows(table, n_elements)
+        monkeypatch.undo()
+
+        assert calls == unique_calls
+        assert result.shape[1] == width
+        rows = [tuple(row) for row in result.tolist()]
+        assert len(rows) == len(set(rows))
+        assert set(rows) == expected
+
+    def test_zero_width_and_tiny_tables(self):
+        np = bitset.np
+        assert _distinct_rows(np.zeros((5, 0), dtype=np.int64), 3).shape == (
+            1,
+            0,
+        )
+        single = np.array([[2, 1]], dtype=np.int64)
+        assert _distinct_rows(single, 3).tolist() == [[2, 1]]
+
+
+def _grid(n):
+    """``n`` entities on a ring with chords; ``R`` on every third one."""
+    builder = DatabaseBuilder()
+    for i in range(n):
+        builder.add_entity(f"e{i:03d}")
+        builder.add("E", f"e{i:03d}", f"e{(i + 1) % n:03d}")
+        builder.add("E", f"e{i:03d}", f"e{(i * 7 + 3) % n:03d}")
+        if i % 3 == 0:
+            builder.add("R", f"e{i:03d}")
+    return builder.build()
+
+
+class TestProjectionPushdown:
+    def test_cap_fits_only_after_projection(self):
+        """Star joins: the full join exceeds the cap, each projected one not.
+
+        Every entity has six E-, F- and G-successors (the last entity has
+        no G-successor).  The full join of the three atoms has 10 x 6^3
+        rows; with the dead y, z, w projected away after each step, no
+        join materializes more than 60 rows x 2 columns.
+        """
+        builder = DatabaseBuilder()
+        for i in range(10):
+            builder.add_entity(i)
+            for j in range(6):
+                builder.add("E", i, 100 + j)
+                builder.add("F", i, 200 + j)
+                if i < 9:
+                    builder.add("G", i, 300 + j)
+        database = builder.build()
+        query = parse_cq("q(x) :- E(x, y), F(x, z), G(x, w)")
+        cramped = EvaluationEngine(backend="numpy", max_vector_cells=200)
+        python = EvaluationEngine(backend="python")
+        expected = python.evaluate_unary(query, database)
+        assert expected == naive_evaluate_unary(query, database)
+        assert expected == frozenset(range(9))
+        assert cramped.evaluate_unary(query, database) == expected
+        assert cramped.work_snapshot()["backend_fallbacks"] == 0
+        assert cramped.counters.vectorized_sweeps == 1
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "q(x, z) :- E(x, y), E(y, z)",
+            "q(x, z) :- E(x, y), E(y, z), R(y)",
+            "q(x, y, w) :- E(x, y), E(y, z), R(z), E(x, w)",
+            "q(x, z, u) :- E(x, y), E(y, z), E(z, u), E(u, x)",
+        ],
+    )
+    @pytest.mark.parametrize("n", [7, 16])
+    def test_multi_column_answers_match_naive(self, rule, n):
+        query = parse_cq(rule)
+        database = _grid(n)
+        expected = naive_evaluate(query, database)
+        assert expected
+        engine = EvaluationEngine(backend="numpy")
+        assert engine.evaluate(query, database) == expected
+        assert engine.work_snapshot()["backend_fallbacks"] == 0
+        program = VectorizedProgram.compile_query(query)
+        assert program.evaluate(database) == expected
+
+    @pytest.mark.parametrize("n", [7, 70])
+    def test_boolean_decide_projects_every_column(self, n):
+        target = _grid(n)
+        sources = [
+            Database([Fact("E", ("u", "v")), Fact("E", ("v", "w"))]),
+            Database(
+                [
+                    Fact("E", ("u", "v")),
+                    Fact("E", ("v", "w")),
+                    Fact("E", ("w", "u")),
+                ]
+            ),
+            Database([Fact("E", ("u", "u"))]),
+            Database([Fact("E", ("u", "v")), Fact("R", ("v",))]),
+        ]
+        engine = EvaluationEngine(backend="numpy")
+        for source in sources:
+            program = VectorizedProgram.compile_database(source)
+            assert program.live[-1] == frozenset()
+            expected = naive_has_homomorphism(source, target)
+            assert program.decide(target) == expected
+            assert engine.has_homomorphism(source, target) == expected
+        assert engine.work_snapshot()["backend_fallbacks"] == 0
