@@ -25,12 +25,15 @@ materialization (Section 3), QBE (Section 6), and GHW(k) classification
   answer sets, instead of re-deriving candidates per ``selects`` call.
 - **Compiled plans.**  Each query is compiled once into a
   :class:`~repro.cq.plan.QueryPlan` (cached in its own LRU keyed by the
-  query alone) whose precompiled homomorphism program replaces the
-  per-check query-side analysis — fact ordering, occurrence signatures,
-  zip schedule — and whose single-pass Yannakakis plan backs
+  query alone).  Every engine search runs its precompiled homomorphism
+  program — fixed fact order, occurrence signatures, zip schedule — and
+  its single-pass Yannakakis plan backs
   :meth:`EvaluationEngine.evaluate_ghw`.  Plans are database-independent,
   so the plan cache survives :meth:`EvaluationEngine.apply_delta`
   untouched.
+- **One answer path.**  Every ``q(D)`` the engine produces goes through
+  one routine: answer memo → warm-state store → numpy sweep (numpy
+  backend only) → the caller's computation → memoize and persist.
 
 Instrumentation counters (hom checks attempted, backtrack nodes expanded,
 cache hits/misses, cover games played) are threaded through to
@@ -85,6 +88,7 @@ __all__ = [
 ]
 
 Element = Any
+Rows = FrozenSet[Tuple[Element, ...]]
 
 DEFAULT_CACHE_SIZE = 4096
 
@@ -268,12 +272,6 @@ class EvaluationEngine:
         Maximum number of entries per internal cache (pointed hom checks,
         query answers, cover games, compiled plans).  Results are exact
         regardless of the size; a small cache only trades speed for memory.
-    use_plans:
-        When true (the default), ``selects``/``evaluate`` execute each
-        query's compiled :class:`~repro.cq.plan.HomomorphismProgram`
-        instead of re-analyzing the canonical database per check.  Turn
-        off to benchmark the unplanned search; results are identical
-        either way.
     backend:
         ``"python"`` (the default) keeps every evaluation on the pure
         reference hot path.  ``"numpy"`` opts into the vectorized bitset
@@ -303,7 +301,6 @@ class EvaluationEngine:
     def __init__(
         self,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        use_plans: bool = True,
         backend: str = "python",
         max_vector_cells: Optional[int] = None,
         store: Optional[Any] = None,
@@ -317,7 +314,6 @@ class EvaluationEngine:
         self._answer_cache = _LRUCache(cache_size)
         self._game_cache = _LRUCache(cache_size)
         self._plan_cache = _LRUCache(cache_size)
-        self.use_plans = use_plans
         self.backend = backend
         if max_vector_cells is None:
             from repro.cq.vectorized import DEFAULT_MAX_CELLS
@@ -378,7 +374,7 @@ class EvaluationEngine:
 
     def _vectorized_answer(
         self, query: CQ, database: Database
-    ) -> Optional[FrozenSet[Tuple[Element, ...]]]:
+    ) -> Optional[Rows]:
         """``q(D)`` via the vectorized backend, or ``None`` on fallback."""
         from repro.cq.vectorized import VectorizedFallback
 
@@ -462,22 +458,51 @@ class EvaluationEngine:
         self._plan_cache.store(query, plan)
         return plan
 
-    def _load_stored_answer(
-        self, query: CQ, database: Database
-    ) -> Optional[FrozenSet[Tuple[Element, ...]]]:
-        """A persisted ``q(D)`` answer, or ``None`` (no store / miss)."""
-        if self.store is None:
-            return None
-        return self.store.load_answer(query, database)
+    # ------------------------------------------------------------------
+    # The answer path: memo → store → numpy sweep → compute → persist
+    # ------------------------------------------------------------------
 
-    def _persist_answer(
+    def _recall(self, query: CQ, database: Database) -> Any:
+        """Memoized ``q(D)`` rows, else persisted ones (promoted into the
+        answer LRU), else ``_LRUCache._MISSING``."""
+        key = (query, database)
+        rows = self._answer_cache.lookup(key)
+        if rows is _LRUCache._MISSING and self.store is not None:
+            stored = self.store.load_answer(query, database)
+            if stored is not None:
+                self._answer_cache.store(key, stored)
+                return stored
+        return rows
+
+    def _remember(self, query: CQ, database: Database, rows: Rows) -> None:
+        """Memoize ``q(D)`` rows and persist them when a store is attached."""
+        self._answer_cache.store((query, database), rows)
+        if self.store is not None:
+            self.store.save_answer(query, database, rows)
+
+    def _answer(
         self,
         query: CQ,
         database: Database,
-        answer: FrozenSet[Tuple[Element, ...]],
-    ) -> None:
-        if self.store is not None:
-            self.store.save_answer(query, database, answer)
+        compute: Callable[[], Optional[Rows]],
+    ) -> Optional[Rows]:
+        """``q(D)`` rows: recalled, swept (numpy backend), or ``compute()``d.
+
+        ``compute`` may return ``None`` to decline; then nothing is
+        remembered.  Every path shares one memo: each is differentially
+        verified against the others.
+        """
+        rows = self._recall(query, database)
+        if rows is not _LRUCache._MISSING:
+            return rows
+        rows = None
+        if self.active_backend == "numpy":
+            rows = self._vectorized_answer(query, database)
+        if rows is None:
+            rows = compute()
+        if rows is not None:
+            self._remember(query, database, rows)
+        return rows
 
     # ------------------------------------------------------------------
     # Homomorphism checks
@@ -574,53 +599,38 @@ class EvaluationEngine:
             candidate_sets.append(candidates)
         return candidate_sets
 
-    def evaluate(
-        self, query: CQ, database: Database
-    ) -> FrozenSet[Tuple[Element, ...]]:
-        """``q(D)`` as a set of tuples, memoized per ``(query, database)``.
+    def _search(self, query: CQ, database: Database) -> Rows:
+        """``q(D)`` by one memoized pointed check per candidate assignment.
 
-        One memoized pointed check per candidate assignment of the free
-        variables; candidates are pre-filtered through the database index.
-        With a warm-state store, an LRU miss consults the persisted memo
-        before any computation, and every computed answer is persisted.
+        Candidates for the free variables are pre-filtered through the
+        database index; the query's plan is compiled only when some
+        assignment survives the filter.
         """
-        key = (query, database)
-        cached = self._answer_cache.lookup(key)
-        if cached is not _LRUCache._MISSING:
-            return cached
-        stored = self._load_stored_answer(query, database)
-        if stored is not None:
-            self._answer_cache.store(key, stored)
-            return stored
-
-        if self.active_backend == "numpy":
-            result = self._vectorized_answer(query, database)
-            if result is not None:
-                self._answer_cache.store(key, result)
-                self._persist_answer(query, database, result)
-                return result
-
         candidate_sets = self._free_variable_candidates(query, database)
         if any(not candidates for candidates in candidate_sets):
-            result: FrozenSet[Tuple[Element, ...]] = frozenset()
-            self._answer_cache.store(key, result)
-            self._persist_answer(query, database, result)
-            return result
-
+            return frozenset()
         canonical = query.canonical_database
         free = query.free_variables
-        program = self.plan_for(query).program if self.use_plans else None
+        program = self.plan_for(query).program
         ordered = [sorted(candidates, key=repr) for candidates in candidate_sets]
-        results: Set[Tuple[Element, ...]] = set()
-        for values in itertools.product(*ordered):
+        return frozenset(
+            values
+            for values in itertools.product(*ordered)
             if self.has_homomorphism(
                 canonical, database, dict(zip(free, values)), program
-            ):
-                results.add(values)
-        result = frozenset(results)
-        self._answer_cache.store(key, result)
-        self._persist_answer(query, database, result)
-        return result
+            )
+        )
+
+    def evaluate(self, query: CQ, database: Database) -> Rows:
+        """``q(D)`` as a set of tuples, memoized per ``(query, database)``.
+
+        :meth:`_search` behind the answer path: with a warm-state store, an
+        LRU miss consults the persisted memo before any computation, and
+        every computed answer is persisted.
+        """
+        return self._answer(
+            query, database, lambda: self._search(query, database)
+        )
 
     def evaluate_unary(
         self, query: CQ, database: Database
@@ -649,27 +659,13 @@ class EvaluationEngine:
         structured = self.plan_for(query).structured(k)
         if structured is None:
             raise DecompositionError(f"query has ghw > {k}")
-        key = (query, database)
-        cached = self._answer_cache.lookup(key)
-        if cached is not _LRUCache._MISSING:
-            return frozenset(row[0] for row in cached)
-        stored = self._load_stored_answer(query, database)
-        if stored is not None:
-            self._answer_cache.store(key, stored)
-            return frozenset(row[0] for row in stored)
-        if self.active_backend == "numpy":
-            # Same answer memo as evaluate(): the vectorized sweep is
-            # differentially verified against both reference paths.
-            result = self._vectorized_answer(query, database)
-            if result is not None:
-                self._answer_cache.store(key, result)
-                self._persist_answer(query, database, result)
-                return frozenset(row[0] for row in result)
-        answer = structured.evaluate(database, self.plan_counters)
-        rows = frozenset((element,) for element in answer)
-        self._answer_cache.store(key, rows)
-        self._persist_answer(query, database, rows)
-        return answer
+
+        def run_plan() -> Rows:
+            answer = structured.evaluate(database, self.plan_counters)
+            return frozenset((element,) for element in answer)
+
+        rows = self._answer(query, database, run_plan)
+        return frozenset(row[0] for row in rows)
 
     def selects(self, query: CQ, database: Database, element: Element) -> bool:
         """Whether ``element ∈ q(D)``, by one memoized pointed check.
@@ -682,25 +678,14 @@ class EvaluationEngine:
         if not query.is_unary:
             raise QueryError("selects requires a unary CQ")
         if self.active_backend == "numpy":
-            key = (query, database)
-            cached = self._answer_cache.lookup(key)
-            if cached is not _LRUCache._MISSING:
-                return (element,) in cached
-            stored = self._load_stored_answer(query, database)
-            if stored is not None:
-                self._answer_cache.store(key, stored)
-                return (element,) in stored
-            result = self._vectorized_answer(query, database)
-            if result is not None:
-                self._answer_cache.store(key, result)
-                self._persist_answer(query, database, result)
-                return (element,) in result
-        program = self.plan_for(query).program if self.use_plans else None
+            rows = self._answer(query, database, lambda: None)
+            if rows is not None:
+                return (element,) in rows
         return self.has_homomorphism(
             query.canonical_database,
             database,
             {query.free_variable: element},
-            program,
+            self.plan_for(query).program,
         )
 
     def indicator(
@@ -729,11 +714,12 @@ class EvaluationEngine:
     ) -> List[FrozenSet[Element]]:
         """Answer sets for a batch of unary queries, optionally sharded.
 
-        With a multi-worker executor, queries missing from the answer cache
-        are dispatched as shards to worker processes (each running the same
-        pure :meth:`evaluate_unary` on its own engine), merged back in query
-        order, and stored into this engine's cache — so parallel results are
-        bit-identical to serial ones and later serial calls stay warm.
+        With a multi-worker executor, each distinct query is recalled once
+        (memo, then store); misses are dispatched as shards to worker
+        processes (each running the same pure :meth:`evaluate_unary` on its
+        own engine), merged back in query order, and remembered here — so
+        parallel results are bit-identical to serial ones and later serial
+        calls stay warm.
         """
         if executor is None or executor.workers <= 1 or len(queries) <= 1:
             return [self.evaluate_unary(query, database) for query in queries]
@@ -745,22 +731,12 @@ class EvaluationEngine:
 
         answers: Dict[CQ, FrozenSet[Element]] = {}
         pending: List[CQ] = []
-        for query in queries:
-            cached = self._answer_cache.lookup((query, database))
-            if cached is _LRUCache._MISSING:
-                if query in answers:
-                    continue
-                stored = self._load_stored_answer(query, database)
-                if stored is not None:
-                    self._answer_cache.store((query, database), stored)
-                    answers[query] = frozenset(row[0] for row in stored)
-                else:
-                    answers[query] = frozenset()  # placeholder, filled below
-                    pending.append(query)
+        for query in dict.fromkeys(queries):
+            rows = self._recall(query, database)
+            if rows is _LRUCache._MISSING:
+                pending.append(query)
             else:
-                answers[query] = frozenset(
-                    row[0] for row in cached
-                )
+                answers[query] = frozenset(row[0] for row in rows)
         if pending:
             # Broadcast the shared target database once (digest-keyed):
             # shard payloads carry a tiny ref, workers resolve it from
@@ -774,8 +750,7 @@ class EvaluationEngine:
             for query, answer in zip(pending, evaluated):
                 answers[query] = answer
                 rows = frozenset((element,) for element in answer)
-                self._answer_cache.store((query, database), rows)
-                self._persist_answer(query, database, rows)
+                self._remember(query, database, rows)
         return [answers[query] for query in queries]
 
     def indicator_matrix(

@@ -174,12 +174,9 @@ class InferenceService:
             return
         vectorize = self._engine.active_backend == "numpy"
         for query in self._pair.statistic:
-            if self._engine.use_plans:
-                plan = self._engine.plan_for(query)
-                if vectorize:
-                    plan.vectorized()
-            else:
-                query.canonical_database.index  # noqa: B018 - build lazily-cached state
+            plan = self._engine.plan_for(query)
+            if vectorize:
+                plan.vectorized()
         if self._executor is not None and self._executor.workers > 1:
             empty = Database(
                 (), schema=self._artifact.schema

@@ -51,7 +51,7 @@ class TestPlannedBacktrackingDifferential:
     @_SETTINGS
     @given(unary_feature_queries(), entity_databases())
     def test_planned_engine_matches_naive(self, query, database):
-        engine = EvaluationEngine(use_plans=True)
+        engine = EvaluationEngine()
         assert engine.evaluate_unary(query, database) == (
             naive_evaluate_unary(query, database)
         )
@@ -63,7 +63,7 @@ class TestPlannedBacktrackingDifferential:
     ):
         # Mixed databases may lack eta or E entirely: the program's
         # signature lookup must conclude "no homomorphism", like naive.
-        engine = EvaluationEngine(use_plans=True)
+        engine = EvaluationEngine()
         assert engine.evaluate_unary(query, database) == (
             naive_evaluate_unary(query, database)
         )

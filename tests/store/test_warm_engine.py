@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -10,11 +11,13 @@ import pytest
 from repro.cq import parse_cq
 from repro.cq.engine import EvaluationEngine
 from repro.data import Database
+from repro.runtime import ParallelExecutor
 from repro.store import ContentStore
 from repro.store.warm import WarmStore, open_store
 
 PATH_RULE = "q(x) :- E(x, y), E(y, z), eta(x)"
 ETA_RULE = "q(x) :- eta(x)"
+TARGET_RULE = "q(x) :- E(y, x)"
 
 
 def _warm_root(tmp_path) -> str:
@@ -61,6 +64,71 @@ def test_warm_numpy_engine_matches_python(tmp_path, path_database):
     python_answer, python_work, _ = _evaluate(root, path_database)
     assert python_answer == cold_answer
     assert python_work["store_memo_hits"] == 1
+
+
+def _matrix(engine, queries, database, executor):
+    return engine.indicator_matrix(
+        queries, database, sorted(database.domain), executor
+    )
+
+
+#: Answer entry point → (how to call it, rules it answers).
+ENTRY_POINTS = {
+    "evaluate_ghw": (
+        lambda engine, queries, database, executor: [
+            engine.evaluate_ghw(query, database, 1) for query in queries
+        ],
+        (PATH_RULE, ETA_RULE, TARGET_RULE),
+    ),
+    "selects": (
+        lambda engine, queries, database, executor: [
+            engine.selects(query, database, "a") for query in queries
+        ],
+        (PATH_RULE,),
+    ),
+    "indicator_matrix": (_matrix, (PATH_RULE, ETA_RULE, TARGET_RULE)),
+    "indicator_matrix_2_workers": (
+        _matrix,
+        (PATH_RULE, ETA_RULE, TARGET_RULE),
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_warms_from_the_store(
+    tmp_path, path_database, entry, backend
+):
+    if backend == "numpy":
+        pytest.importorskip("numpy")
+    root = _warm_root(tmp_path)
+    answer, rules = ENTRY_POINTS[entry]
+    pool = (
+        ParallelExecutor(2)
+        if entry.endswith("workers")
+        else contextlib.nullcontext()
+    )
+    with pool as executor:
+        cold = EvaluationEngine(backend=backend, store=root)
+        expected = answer(
+            cold, [parse_cq(rule) for rule in rules], path_database, executor
+        )
+        warm = EvaluationEngine(backend=backend, store=root)
+        got = answer(
+            warm, [parse_cq(rule) for rule in rules], path_database, executor
+        )
+    work = warm.work_snapshot()
+    assert got == expected
+    assert work["plan_compilations"] == 0
+    assert work["vectorized_sweeps"] == 0
+    if (entry, backend) == ("selects", "python"):
+        # Python selects is one memoized pointed check: it never reads the
+        # answer memo, so the stored plan is all the store contributes.
+        assert work["hom_checks"] == 1
+        assert work["store_memo_hits"] == 0
+    else:
+        assert work["hom_checks"] == 0
+        assert work["store_memo_hits"] == len(rules)
 
 
 def test_plan_cache_warms_across_processes(tmp_path, path_database):
